@@ -37,8 +37,7 @@ class EngineCapabilities:
         Honours the corresponding :class:`SolveRequest` knob.
     ``preprocessing``
         Honours ``SolveRequest.preprocess`` (runs the CNF simplifier
-        between CNF generation and the SAT search); ``bench-smoke`` uses
-        this to know which engines to measure with the stage on vs. off.
+        between CNF generation and the SAT search).
     """
 
     description: str = ""

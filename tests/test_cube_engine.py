@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.benchgen.cnf import pigeonhole_cnf
 from repro.core.status import Status
 from repro.engine import registry
-from repro.engine.bench_smoke import pigeonhole_cnf
 from repro.engine.contract import SolveRequest
 from repro.engine.cube import conquer
 from repro.core.result import StageRecord
@@ -108,6 +108,8 @@ class TestConductor:
         )
         assert result.status == "UNSAT"
         assert record.counters["exported"] > 0
+        # A live conduit delivers: some worker imported a peer's clause.
+        assert record.counters["imported"] > 0
 
     def test_no_share_disables_conduit(self):
         result, record = conquer_cnf(

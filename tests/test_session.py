@@ -378,6 +378,28 @@ class TestDifferentialHarness:
             depth -= 1
             check_against_scratch(session)
 
+    def test_negative_cycle_chain(self):
+        # A chain of difference constraints checked after every link:
+        # each proper prefix is SAT, the closing back-edge makes a
+        # negative cycle, and the core spans every link of it.
+        xs = [Var("c%d" % i) for i in range(8)]
+        chain = [
+            And(
+                Lt(Offset(xs[i], i % 3), xs[i + 1]),
+                Or(BoolVar("s%d" % i), Lt(xs[i], Offset(xs[i + 1], 4))),
+            )
+            for i in range(len(xs) - 1)
+        ]
+        chain.append(Lt(xs[-1], xs[0]))
+        session = Session(engine="hybrid", cache=None)
+        statuses = []
+        for formula in chain:
+            session.assert_formula(formula)
+            result = check_against_scratch(session)
+            statuses.append(result.status)
+        assert statuses == [SAT] * (len(chain) - 1) + [UNSAT]
+        assert len(result.core) == len(chain)
+
 
 def _machine_for(engine_name):
     class SessionMachine(RuleBasedStateMachine):
