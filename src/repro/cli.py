@@ -906,7 +906,7 @@ def _cmd_analyze_lint(args) -> int:
 
 
 def _cmd_analyze_formula(args) -> int:
-    from .encodings.hybrid import encode_hybrid
+    from .encodings.hybrid import choose_methods
     from .separation.analysis import analyze_separation
     from .transform.func_elim import eliminate_applications
 
@@ -914,9 +914,7 @@ def _cmd_analyze_formula(args) -> int:
     formula = parse_formula(text)
     f_sep, info = eliminate_applications(formula)
     analysis = analyze_separation(f_sep)
-    encoding = encode_hybrid(
-        f_sep, sep_thold=args.sep_thold, analysis=analysis
-    )
+    methods = choose_methods(analysis, args.sep_thold)
     fresh = len(info.fresh_func_vars()) + len(info.fresh_pred_vars())
     print("fresh constants from UF/UP elimination: %d" % fresh)
     print(
@@ -940,7 +938,7 @@ def _cmd_analyze_formula(args) -> int:
                 vclass.range_size,
                 vclass.max_span,
                 "+".join(kind) if kind else "equalities only",
-                encoding.method_of_class[vclass.index],
+                methods[vclass.index],
             )
         )
     print(

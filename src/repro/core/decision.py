@@ -6,7 +6,9 @@ Pipeline (paper §2.1):
    positive-equality bookkeeping) — ``F_suf -> F_sep``;
 2. encode ``F_sep`` propositionally with the selected method
    (``"sd"``, ``"eij"`` or ``"hybrid"``) — ``F_sep -> F_bool``;
-3. Tseitin-flatten ``F_trans ∧ ¬F_bvar`` and run the CDCL solver;
+3. complete the CNF of ``F_trans ∧ ¬F_bvar`` (the transitivity clauses
+   are already packed clauses; Tseitin adds the rest) and run the CDCL
+   solver;
 4. UNSAT means the input is **valid**; a model is decoded back into an
    integer counterexample (bit-vectors read off directly, difference
    bounds completed by Bellman–Ford, maximal-diversity values for ``V_p``)

@@ -21,16 +21,21 @@ way: HYBRID with ``SEP_THOLD = 0`` is SD, and with ``SEP_THOLD = None``
      codes above the general domain — and compare with an equality or
      unsigned-less-than comparator;
 
-4. conjoin the per-class transitivity constraints (EIJ classes) and the
-   domain-bound constraints (SD classes) into ``F_trans``;
+4. build ``F_trans``: the per-class transitivity constraints of the EIJ
+   classes go straight into the registry's CNF as packed clauses
+   (:mod:`repro.encodings.transitivity`), and the domain-bound
+   constraints of the SD classes are kept as a formula;
 5. the result represents ``F_bool = F_trans ⟹ F_bvar``; validity of the
-   input is checked by testing ``F_trans ∧ ¬F_bvar`` for unsatisfiability.
+   input is checked by testing ``F_trans ∧ ¬F_bvar`` for unsatisfiability:
+   Tseitin extends :attr:`Encoding.cnf` with :attr:`Encoding.residual`
+   (``¬F_bvar`` and the SD domain bounds), ``to_cnf(encoding.residual,
+   cnf=encoding.cnf)``, and the SAT solver decides the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..logic.terms import (
     And,
@@ -51,6 +56,7 @@ from ..logic.terms import (
     Var,
 )
 from ..logic.traversal import postorder
+from ..sat.cnf import Cnf
 from ..separation.analysis import (
     SeparationAnalysis,
     VarClass,
@@ -76,6 +82,7 @@ from .transitivity import (
 
 __all__ = [
     "DEFAULT_SEP_THOLD",
+    "choose_methods",
     "EncodingStats",
     "Encoding",
     "encode_hybrid",
@@ -111,10 +118,15 @@ class EncodingStats:
 
 @dataclass
 class Encoding:
-    """The propositional encoding of a separation-logic formula."""
+    """The propositional encoding of a separation-logic formula.
+
+    ``F_trans`` is split in two: :attr:`cnf` holds the EIJ classes'
+    transitivity clauses, packed over the registry variables' CNF ids,
+    and :attr:`sd_domain` the SD classes' domain bounds as a formula.
+    """
 
     f_bvar: Formula
-    f_trans: Formula
+    sd_domain: Formula
     analysis: SeparationAnalysis
     registry: SepVarRegistry
     var_bits: Dict[Var, List[BoolVar]]
@@ -125,14 +137,44 @@ class Encoding:
     stats: EncodingStats = field(default_factory=EncodingStats)
 
     @property
-    def f_bool(self) -> Formula:
-        """``F_trans ⟹ F_bvar`` — valid iff the input formula is valid."""
-        return Implies(self.f_trans, self.f_bvar)
+    def cnf(self) -> Cnf:
+        """The registry's CNF: the transitivity clauses, until Tseitin
+        adds :attr:`residual` to it."""
+        return self.registry.cnf
 
     @property
-    def check_formula(self) -> Formula:
-        """``F_trans ∧ ¬F_bvar`` — satisfiable iff the input is invalid."""
-        return And(self.f_trans, Not(self.f_bvar))
+    def residual(self) -> Formula:
+        """The part of ``F_trans ∧ ¬F_bvar`` not yet in :attr:`cnf`.
+
+        ``to_cnf(encoding.residual, cnf=encoding.cnf)`` completes the CNF,
+        which is satisfiable iff the input formula is invalid.  It extends
+        :attr:`cnf` in place, so do it once per encoding.
+        """
+        return And(self.sd_domain, Not(self.f_bvar))
+
+
+def choose_methods(
+    analysis: SeparationAnalysis,
+    sep_thold: Optional[int],
+    chooser: Optional[Callable[[VarClass], str]] = None,
+) -> Dict[int, str]:
+    """Encoding method of every class, by class index (§4 step 2).
+
+    ``SD`` when ``SepCnt(Vi) > SEP_THOLD``, else ``EIJ``; ``sep_thold``
+    ``None`` means infinity (all EIJ).  ``chooser`` replaces the threshold
+    rule (the static hybrid uses one).  Needs only the separation
+    analysis, so callers can report the choice without encoding.
+    """
+    methods: Dict[int, str] = {}
+    for vclass in analysis.classes:
+        if chooser is not None:
+            method = chooser(vclass)
+        elif sep_thold is None or vclass.sep_count <= sep_thold:
+            method = EIJ
+        else:
+            method = SD
+        methods[vclass.index] = method
+    return methods
 
 
 class _HybridEngine:
@@ -151,7 +193,6 @@ class _HybridEngine:
         self.sep_thold = sep_thold
         self.trans_budget = trans_budget
         self.generate_trans = generate_trans
-        self.chooser = chooser
         self.use_eq_vars = use_eq_vars
         if sd_ranges not in ("uniform", "ascending"):
             raise ValueError(
@@ -164,20 +205,13 @@ class _HybridEngine:
         self.class_shift: Dict[int, int] = {}
         self.class_width: Dict[int, int] = {}
         self.p_codes: Dict[int, Dict[Var, int]] = {}
-        self.method_of_class: Dict[int, str] = {}
         self.term_bits: Dict[Tuple[int, Term], List[Formula]] = {}
         self.fmemo: Dict[Formula, Formula] = {}
         self.stats = EncodingStats(method=method_name, sep_thold=sep_thold)
 
-        for vclass in analysis.classes:
-            self.method_of_class[vclass.index] = self._choose_method(vclass)
-
-    def _choose_method(self, vclass: VarClass) -> str:
-        if self.chooser is not None:
-            return self.chooser(vclass)
-        if self.sep_thold is None:
-            return EIJ
-        return SD if vclass.sep_count > self.sep_thold else EIJ
+        self.method_of_class: Dict[int, str] = choose_methods(
+            analysis, sep_thold, chooser
+        )
 
     # -- SD machinery ---------------------------------------------------------
 
@@ -377,31 +411,26 @@ class _HybridEngine:
                 raise TypeError("unknown formula kind: %r" % (type(node),))
         f_bvar = fmemo[pushed]
 
-        # F_trans: transitivity for EIJ classes, domain bounds for SD ones.
-        trans_parts: List[Formula] = []
+        # F_trans: transitivity clauses for EIJ classes (written into the
+        # registry's CNF), domain bounds for SD ones (kept as a formula).
+        domain_parts: List[Formula] = []
         tstats = TransitivityStats()
         for vclass in self.analysis.classes:
             if self.method_of_class[vclass.index] == EIJ:
                 if not self.generate_trans:
                     continue
                 if self._is_equality_only(vclass):
-                    clauses = generate_equality_transitivity(
-                        self.registry,
-                        vclass.vars,
-                        budget=self.trans_budget,
-                        stats=tstats,
-                    )
+                    generate = generate_equality_transitivity
                 else:
-                    clauses = generate_transitivity(
-                        self.registry,
-                        vclass.vars,
-                        budget=self.trans_budget,
-                        stats=tstats,
-                    )
-                trans_parts.extend(clauses)
+                    generate = generate_transitivity
+                generate(
+                    self.registry,
+                    vclass.vars,
+                    budget=self.trans_budget,
+                    stats=tstats,
+                )
             else:
-                trans_parts.extend(self._sd_domain_constraints(vclass))
-        f_trans = And(*trans_parts)
+                domain_parts.extend(self._sd_domain_constraints(vclass))
 
         stats = self.stats
         stats.num_classes = len(self.analysis.classes)
@@ -416,7 +445,7 @@ class _HybridEngine:
 
         return Encoding(
             f_bvar=f_bvar,
-            f_trans=f_trans,
+            sd_domain=And(*domain_parts),
             analysis=self.analysis,
             registry=self.registry,
             var_bits=self.var_bits,

@@ -17,7 +17,11 @@ split into the conjunction of two bounds (``x = y + c`` becomes
 The registry hands out :class:`~repro.logic.terms.BoolVar` literals so the
 rest of the encoder can keep building ordinary propositional formulas, and
 remembers enough structure (pair -> constants, var -> bound) for the
-transitivity generator and for counterexample decoding.
+transitivity generator and for counterexample decoding.  It also owns the
+:class:`~repro.sat.cnf.Cnf` the encoding is built into: the transitivity
+generator asks for *packed* literals over that CNF's variable ids and
+writes its clauses there directly, and Tseitin later extends the same CNF
+with the formula part, so a registry variable keeps one id throughout.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..logic.terms import BoolVar, Formula, Not, Var
+from ..sat.cnf import Cnf
 
 __all__ = ["Bound", "SepVarRegistry"]
 
@@ -51,6 +56,8 @@ class SepVarRegistry:
     """Allocates and tracks EIJ Boolean variables for difference bounds."""
 
     def __init__(self) -> None:
+        #: The CNF the encoding is built into (see the module docstring).
+        self.cnf = Cnf()
         # canonical (x, y, c) -> BoolVar, with x.uid < y.uid
         self._vars: Dict[Tuple[Var, Var, int], BoolVar] = {}
         self._bound_of: Dict[BoolVar, Bound] = {}
@@ -87,6 +94,23 @@ class SepVarRegistry:
             else:
                 self.atom_var_count += 1
         return var
+
+    def packed_literal(
+        self, x: Var, y: Var, c: int, derived: bool = False
+    ) -> int:
+        """:meth:`literal` as a packed literal over :attr:`cnf`.
+
+        ``2v`` for the variable ``v`` itself, ``2v + 1`` for its negation.
+        """
+        if x is y:
+            raise ValueError("bounds must relate two distinct constants")
+        if x.uid < y.uid:
+            return self.cnf.var_for(self._var(x, y, c, derived)) << 1
+        return (self.cnf.var_for(self._var(y, x, -c - 1, derived)) << 1) | 1
+
+    def packed_eq(self, x: Var, y: Var, derived: bool = False) -> int:
+        """:meth:`eq_var` as a positive packed literal over :attr:`cnf`."""
+        return self.cnf.var_for(self.eq_var(x, y, derived)) << 1
 
     def eq_var(self, x: Var, y: Var, derived: bool = False) -> BoolVar:
         """Single Boolean variable for the offset-free equality ``x = y``.
@@ -151,18 +175,17 @@ class SepVarRegistry:
     def var_count(self) -> int:
         return len(self._bound_of)
 
-    def cnf_var_ids(self, cnf: "object") -> List[int]:
-        """CNF variable ids of the registry's EIJ/equality variables.
+    def cnf_var_ids(self) -> List[int]:
+        """:attr:`cnf` variable ids of the registry's EIJ/equality variables.
 
-        ``cnf`` is a :class:`repro.sat.cnf.Cnf` built from a formula over
-        this registry's variables (duck-typed to avoid an import cycle).
-        Variables the Tseitin transform never saw are skipped, so the
-        result is exactly the separation predicates that survived into
-        the clause database — the preferred cube-splitting points for
+        Variables that never reached the clause database (neither the
+        transitivity generator nor Tseitin asked for them) are skipped, so
+        the result is exactly the separation predicates that survived
+        into the CNF — the preferred cube-splitting points for
         cube-and-conquer (paper §4: SepCnt counts these case splits).
         The order is deterministic (sorted ids).
         """
-        lookup = getattr(cnf, "lookup")
+        lookup = self.cnf.lookup
         ids: Set[int] = set()
         for var in list(self._bound_of) + list(self._eq_pair_of):
             cnf_id = lookup(var)

@@ -3,8 +3,8 @@
 A full assignment to the EIJ Boolean variables asserts one difference bound
 per variable (the bound itself, or its integer negation).  The assignment is
 theory-consistent iff the asserted bounds contain no negative-weight cycle.
-This module generates a propositional formula ``F_trans`` that rules out
-*every* negative cycle, by graph-shaped Fourier–Motzkin elimination:
+This module generates the clauses of ``F_trans`` that rule out *every*
+negative cycle, by graph-shaped Fourier–Motzkin elimination:
 
 * build the *variable graph* of the class (nodes = symbolic constants,
   edges = pairs related by some bound variable);
@@ -18,6 +18,17 @@ This module generates a propositional formula ``F_trans`` that rules out
 * self-implications ``a - a <= c`` with ``c < 0`` become two-literal
   conflict clauses.
 
+Clauses are written straight into the registry's CNF
+(:attr:`SepVarRegistry.cnf <repro.encodings.sepvars.SepVarRegistry.cnf>`)
+as int-packed literals (``2v`` / ``2v + 1``, the :mod:`repro.sat.cnf`
+convention); no formula node is built for them.
+
+Every clause is emitted exactly once without a duplicate check: the three
+literals of a clause made while eliminating ``v`` sit on the three distinct
+pairs ``{a, v}``, ``{v, b}``, ``{a, b}`` (so none is complementary or
+repeated), distinct ``(a, b, c1, c2)`` give distinct literal sets, and once
+``v`` is gone no later clause mentions a pair containing it.
+
 The number of constants per edge can grow multiplicatively — this is the
 potentially-exponential blow-up the paper attributes to EIJ.  A budget
 caps the work and raises :class:`TransitivityBudgetExceeded`, which the
@@ -27,10 +38,10 @@ timeouts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
 
-from ..logic.terms import BoolVar, Formula, Not, Or, Var
+from ..logic.terms import Var
 from .sepvars import SepVarRegistry
 
 __all__ = [
@@ -61,8 +72,9 @@ class TransitivityStats:
     fill_edges: int = 0
 
 
-def _negate(literal: Formula) -> Formula:
-    return literal.arg if isinstance(literal, Not) else Not(literal)
+def _min_degree(remaining: Set[Var], adjacency: Dict[Var, Set[Var]]) -> Var:
+    """Next node to eliminate: min degree, ties broken by uid."""
+    return min(remaining, key=lambda v: (len(adjacency[v]), v.uid))
 
 
 def generate_equality_transitivity(
@@ -70,7 +82,7 @@ def generate_equality_transitivity(
     class_vars: Sequence[Var],
     budget: Optional[int] = None,
     stats: Optional[TransitivityStats] = None,
-) -> List[Formula]:
+) -> range:
     """Triangle constraints for an *equality-only* class (Bryant–Velev).
 
     Each pair of compared constants has one Boolean variable; the variable
@@ -78,11 +90,26 @@ def generate_equality_transitivity(
     the filled graph contributes its three transitivity implications
     ``E_ab ∧ E_bc ⇒ E_ac``.  This is the polynomial subclass the paper's
     Section 3 footnote highlights — no constants, no derived chains.
+
+    The clauses are appended to ``registry.cnf``; returns the range of
+    their indices there.
     """
     if stats is None:
         stats = TransitivityStats()
-    members: Set[Var] = set(class_vars)
+    cnf = registry.cnf
+    first = len(cnf)
+    cnf.add_packed_clauses(
+        _triangle_clauses(registry, set(class_vars), budget, stats)
+    )
+    return range(first, len(cnf))
 
+
+def _triangle_clauses(
+    registry: SepVarRegistry,
+    members: Set[Var],
+    budget: Optional[int],
+    stats: TransitivityStats,
+) -> Iterator[Tuple[int, ...]]:
     adjacency: Dict[Var, Set[Var]] = {}
     for x, y in registry.eq_pairs():
         if x not in members or y not in members:
@@ -90,45 +117,31 @@ def generate_equality_transitivity(
         adjacency.setdefault(x, set()).add(y)
         adjacency.setdefault(y, set()).add(x)
 
-    clauses: List[Formula] = []
-    seen_triangles: Set[frozenset] = set()
-
-    def emit_triangle(a: Var, v: Var, c: Var) -> None:
-        key = frozenset((a.uid, v.uid, c.uid))
-        if key in seen_triangles:
-            return
-        seen_triangles.add(key)
-        e_av = registry.eq_var(a, v, derived=True)
-        e_vc = registry.eq_var(v, c, derived=True)
-        e_ac = registry.eq_var(a, c, derived=True)
-        for p, q, r in (
-            (e_av, e_vc, e_ac),
-            (e_av, e_ac, e_vc),
-            (e_vc, e_ac, e_av),
-        ):
-            clauses.append(Or(Not(p), Not(q), r))
-            stats.clauses += 1
-        if budget is not None and stats.clauses > budget:
-            raise TransitivityBudgetExceeded(stats.clauses, budget)
-
     remaining = set(adjacency)
     while remaining:
-        node = min(remaining, key=lambda v: (len(adjacency[v]), v.uid))
+        node = _min_degree(remaining, adjacency)
         neighbors = sorted(adjacency[node], key=lambda v: v.uid)
         for i, a in enumerate(neighbors):
+            adjacent_a = adjacency[a]
             for c in neighbors[i + 1:]:
-                if c not in adjacency.get(a, set()):
+                if c not in adjacent_a:
                     stats.fill_edges += 1
-                adjacency.setdefault(a, set()).add(c)
-                adjacency.setdefault(c, set()).add(a)
-                emit_triangle(a, node, c)
+                adjacent_a.add(c)
+                adjacency[c].add(a)
+                e_av = registry.packed_eq(a, node, derived=True)
+                e_vc = registry.packed_eq(node, c, derived=True)
+                e_ac = registry.packed_eq(a, c, derived=True)
+                yield (e_av ^ 1, e_vc ^ 1, e_ac)
+                yield (e_av ^ 1, e_ac ^ 1, e_vc)
+                yield (e_vc ^ 1, e_ac ^ 1, e_av)
+                stats.clauses += 3
+                if budget is not None and stats.clauses > budget:
+                    raise TransitivityBudgetExceeded(stats.clauses, budget)
         for a in neighbors:
             adjacency[a].discard(node)
         adjacency[node] = set()
         remaining.discard(node)
         stats.eliminated_nodes += 1
-
-    return clauses
 
 
 def generate_transitivity(
@@ -136,18 +149,32 @@ def generate_transitivity(
     class_vars: Sequence[Var],
     budget: Optional[int] = None,
     stats: Optional[TransitivityStats] = None,
-) -> List[Formula]:
+) -> range:
     """Generate the transitivity clauses for one EIJ-encoded class.
 
-    Returns a list of clause formulas (disjunctions of registry literals);
-    their conjunction is the class's contribution to ``F_trans``.
+    The clauses are appended to ``registry.cnf`` as packed literals over
+    the registry variables' CNF ids; their conjunction is the class's
+    contribution to ``F_trans``.  Returns the range of their indices in
+    ``registry.cnf``.
     """
     if stats is None:
         stats = TransitivityStats()
-    members: Set[Var] = set(class_vars)
+    cnf = registry.cnf
+    first = len(cnf)
+    cnf.add_packed_clauses(
+        _elimination_clauses(registry, set(class_vars), budget, stats)
+    )
+    return range(first, len(cnf))
 
-    # Directed constant tables: (u, v) -> {c: literal asserting u - v <= c}.
-    table: Dict[Tuple[Var, Var], Dict[int, Formula]] = {}
+
+def _elimination_clauses(
+    registry: SepVarRegistry,
+    members: Set[Var],
+    budget: Optional[int],
+    stats: TransitivityStats,
+) -> Iterator[Tuple[int, ...]]:
+    # Directed constant tables: (u, v) -> {c: packed literal u - v <= c}.
+    table: Dict[Tuple[Var, Var], Dict[int, int]] = {}
     adjacency: Dict[Var, Set[Var]] = {}
 
     for x, y in registry.pairs():
@@ -156,74 +183,74 @@ def generate_transitivity(
         fwd = table.setdefault((x, y), {})
         rev = table.setdefault((y, x), {})
         for c in registry.constants(x, y):
-            lit = registry.literal(x, y, c)
+            lit = registry.packed_literal(x, y, c)
             fwd[c] = lit
-            rev[-c - 1] = _negate(lit)
+            rev[-c - 1] = lit ^ 1
         adjacency.setdefault(x, set()).add(y)
         adjacency.setdefault(y, set()).add(x)
 
-    clauses: List[Formula] = []
-    seen_clauses: Set[frozenset] = set()
-
-    def emit(lits: Tuple[Formula, ...]) -> None:
-        key = frozenset(id(l) for l in lits)
-        if key in seen_clauses:
-            return
-        seen_clauses.add(key)
-        clauses.append(Or(*lits))
-        stats.clauses += 1
-        if budget is not None and stats.clauses > budget:
-            raise TransitivityBudgetExceeded(stats.clauses, budget)
-
-    def implied_literal(a: Var, b: Var, c: int) -> Formula:
-        entry = table.setdefault((a, b), {})
-        lit = entry.get(c)
-        if lit is None:
-            before = registry.var_count()
-            lit = registry.literal(a, b, c, derived=True)
-            if registry.var_count() > before:
-                stats.derived_vars += 1
-            entry[c] = lit
-            table.setdefault((b, a), {})[-c - 1] = _negate(lit)
+    def implied(a: Var, b: Var, c: int) -> int:
+        """Literal for ``a - b <= c``, allocating a derived variable."""
+        before = registry.var_count()
+        lit = registry.packed_literal(a, b, c, derived=True)
+        if registry.var_count() > before:
+            stats.derived_vars += 1
         return lit
 
+    # The clause count lives in a local for the inner loops and is written
+    # back to ``stats`` when the generator finishes or raises.
+    count = stats.clauses
+    limit = budget if budget is not None else -1
     remaining = set(adjacency)
-    while remaining:
-        # Min-degree elimination ordering (deterministic tie-break by uid).
-        node = min(remaining, key=lambda v: (len(adjacency[v]), v.uid))
-        neighbors = sorted(adjacency[node], key=lambda v: v.uid)
-        for a in neighbors:
-            in_bounds = table.get((a, node), {})
-            if not in_bounds:
-                continue
-            for b in neighbors:
-                out_bounds = table.get((node, b), {})
-                if not out_bounds:
+    try:
+        while remaining:
+            node = _min_degree(remaining, adjacency)
+            neighbors = sorted(adjacency[node], key=lambda v: v.uid)
+            for a in neighbors:
+                in_bounds = table.get((a, node))
+                if not in_bounds:
                     continue
-                if a is b:
-                    # a -> node -> a : conflict when the cycle is negative.
+                for b in neighbors:
+                    out_bounds = table.get((node, b))
+                    if not out_bounds:
+                        continue
+                    if a is b:
+                        # a -> node -> a : conflict when the cycle is
+                        # negative; complementary literals are a tautology.
+                        for c1, l1 in in_bounds.items():
+                            for c2, l2 in out_bounds.items():
+                                if c1 + c2 < 0 and l1 != l2 ^ 1:
+                                    yield (l1 ^ 1, l2 ^ 1)
+                                    count += 1
+                                    if count > limit >= 0:
+                                        raise TransitivityBudgetExceeded(
+                                            count, limit
+                                        )
+                        continue
+                    forward = table.setdefault((a, b), {})
+                    backward = table.setdefault((b, a), {})
                     for c1, l1 in in_bounds.items():
+                        n1 = l1 ^ 1
                         for c2, l2 in out_bounds.items():
-                            if c1 + c2 >= 0:
-                                continue
-                            nl1, nl2 = _negate(l1), _negate(l2)
-                            if nl1 is l2:  # complementary literals: tautology
-                                continue
-                            emit((nl1, nl2))
-                    continue
-                for c1, l1 in in_bounds.items():
-                    for c2, l2 in out_bounds.items():
-                        l3 = implied_literal(a, b, c1 + c2)
-                        emit((_negate(l1), _negate(l2), l3))
-                if node not in (a, b) and b not in adjacency.get(a, set()):
-                    stats.fill_edges += 1
-                adjacency.setdefault(a, set()).add(b)
-                adjacency.setdefault(b, set()).add(a)
-        # Remove the node from the graph.
-        for a in neighbors:
-            adjacency[a].discard(node)
-        adjacency[node] = set()
-        remaining.discard(node)
-        stats.eliminated_nodes += 1
-
-    return clauses
+                            c = c1 + c2
+                            l3 = forward.get(c)
+                            if l3 is None:
+                                l3 = forward[c] = implied(a, b, c)
+                                backward[-c - 1] = l3 ^ 1
+                            yield (n1, l2 ^ 1, l3)
+                            count += 1
+                            if count > limit >= 0:
+                                raise TransitivityBudgetExceeded(count, limit)
+                    adjacent_a = adjacency[a]
+                    if b not in adjacent_a:
+                        stats.fill_edges += 1
+                    adjacent_a.add(b)
+                    adjacency[b].add(a)
+            # Remove the node from the graph.
+            for a in neighbors:
+                adjacency[a].discard(node)
+            adjacency[node] = set()
+            remaining.discard(node)
+            stats.eliminated_nodes += 1
+    finally:
+        stats.clauses = count

@@ -74,7 +74,6 @@ from ..logic.terms import (
     Var,
 )
 from ..logic.traversal import collect_bool_vars, collect_vars, postorder
-from ..sat.cnf import Cnf
 from ..sat.solver import CdclSolver, SatResult
 from ..sat.tseitin import tseitin
 from ..theory.difference import check_bounds
@@ -157,10 +156,10 @@ class _IncrementalBackend:
     """
 
     def __init__(self) -> None:
-        self._cnf = Cnf()
+        self._registry = SepVarRegistry()
+        self._cnf = self._registry.cnf
         self._solver = CdclSolver(self._cnf)
         self._fed_clauses = 0
-        self._registry = SepVarRegistry()
         self._tseitin_memo: Dict[Node, int] = {}
         self._abstract_memo: Dict[Formula, Formula] = {}
         self._selectors: Dict[Formula, int] = {}

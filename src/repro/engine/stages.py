@@ -159,14 +159,14 @@ def run_eager(
     stats.encoding = encoding.stats
 
     with clock.stage("cnf") as rec:
-        cnf = to_cnf(encoding.check_formula, mode="pg")
+        cnf = to_cnf(encoding.residual, mode="pg", cnf=encoding.cnf)
         stats.cnf_vars = cnf.num_vars
         stats.cnf_clauses = len(cnf)
         rec.counters["vars"] = cnf.num_vars
         rec.counters["clauses"] = len(cnf)
         # Surface the EIJ→CNF-var map: these are the separation
         # predicates cube-and-conquer prefers as splitting points.
-        sep_cnf_vars = encoding.registry.cnf_var_ids(cnf)
+        sep_cnf_vars = encoding.registry.cnf_var_ids()
         rec.counters["sep_cnf_vars"] = len(sep_cnf_vars)
         rec.artifacts["sep_cnf_vars"] = sep_cnf_vars
 

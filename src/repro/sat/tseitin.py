@@ -2,7 +2,9 @@
 
 The encoders in :mod:`repro.encodings` output *propositional* formulas —
 ``Formula`` objects whose only atoms are :class:`BoolVar` and
-:class:`BoolConst`.  This module flattens such a DAG to CNF, introducing one
+:class:`BoolConst` — next to a CNF that already holds the ``F_trans``
+transitivity clauses; :func:`to_cnf` can extend that CNF in place.
+This module flattens such a DAG to CNF, introducing one
 definition variable per internal connective node.  Sharing in the DAG is
 preserved: each distinct node is defined exactly once, which is what keeps
 the CNF size linear in DAG size (the property the paper's size analysis
@@ -192,14 +194,22 @@ def tseitin(
     return cnf, lits[formula]
 
 
-def to_cnf(formula: Formula, mode: str = "classic") -> Cnf:
-    """Encode ``formula`` and assert it, returning a self-contained CNF.
+def to_cnf(
+    formula: Formula, mode: str = "classic", cnf: Optional[Cnf] = None
+) -> Cnf:
+    """Encode ``formula`` and assert it; returns the CNF.
+
+    With ``cnf`` given, the clauses are added to it (in place) and
+    :class:`BoolVar` atoms reuse the variables it already names; this is
+    how the encoders' output is completed: :attr:`Encoding.cnf
+    <repro.encodings.hybrid.Encoding.cnf>` already holds the
+    ``F_trans`` transitivity clauses as packed literal clauses, and
+    ``to_cnf(encoding.residual, cnf=encoding.cnf)`` adds ``¬F_bvar`` and
+    the SD domain bounds.  Without ``cnf`` a fresh one is returned.
 
     Top-level conjunctions are asserted conjunct by conjunct, and asserted
     disjunctions of plain literals become clauses directly — no definition
-    variables.  This matters a lot for the encoders' output shape
-    ``F_trans ∧ ¬F_bvar``, where ``F_trans`` is a large conjunction of
-    literal clauses (transitivity constraints).
+    variables.
 
     ``mode`` selects the definitional encoding: ``"classic"`` (both
     directions of every definition) or ``"pg"`` (Plaisted–Greenbaum,
@@ -208,7 +218,8 @@ def to_cnf(formula: Formula, mode: str = "classic") -> Cnf:
     """
     if mode not in ("classic", "pg"):
         raise ValueError("unknown Tseitin mode %r" % (mode,))
-    cnf = Cnf()
+    if cnf is None:
+        cnf = Cnf()
     if formula is TRUE:
         return cnf
     if formula is FALSE:

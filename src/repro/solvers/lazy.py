@@ -82,7 +82,7 @@ def check_validity_lazy(
     encoding = encode_eij(f_sep, analysis=analysis, transitivity=False)
     registry = encoding.registry
 
-    cnf = to_cnf(encoding.check_formula)
+    cnf = to_cnf(encoding.residual, cnf=encoding.cnf)
     stats.encode_seconds = time.perf_counter() - start
     stats.cnf_vars = cnf.num_vars
     stats.cnf_clauses = len(cnf)

@@ -118,6 +118,32 @@ class TestAnalyzeCommand:
         assert code == 0
         assert "equalities only" in out
 
+    def test_reports_methods_without_building_f_trans(self, monkeypatch):
+        from repro.encodings import hybrid
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("analyze must not generate F_trans")
+
+        monkeypatch.setattr(hybrid, "generate_transitivity", refuse)
+        monkeypatch.setattr(hybrid, "generate_equality_transitivity", refuse)
+        code, out = run_cli(
+            ["analyze", "-", "--sep-thold", "0"],
+            stdin_text="(not (and (< x y) (= (+ x 2) y) (= u v) (< p q)))",
+        )
+        assert code == 0
+        assert "classes: 3" in out
+        lines = [line for line in out.splitlines() if "  class " in line]
+        assert len(lines) == 3
+        assert all(line.endswith("-> SD") for line in lines)
+        code, out = run_cli(
+            ["analyze", "-"],
+            stdin_text="(not (and (< x y) (= (+ x 2) y) (= u v) (< p q)))",
+        )
+        assert code == 0
+        lines = [line for line in out.splitlines() if "  class " in line]
+        assert len(lines) == 3
+        assert all(line.endswith("-> EIJ") for line in lines)
+
 
 class TestSatCommand:
     def test_sat_instance(self):

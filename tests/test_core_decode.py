@@ -30,7 +30,7 @@ class TestDecodeSd:
         x, y, z = b.const("x"), b.const("y"), b.const("z")
         formula = b.bnot(b.band(b.lt(x, y), b.lt(y, z)))
         encoding = encode_sd(formula)
-        cnf = to_cnf(encoding.check_formula)
+        cnf = to_cnf(encoding.residual, cnf=encoding.cnf)
         result = solve_cnf(cnf)
         assert result.is_sat  # the formula is invalid
         model = decode_countermodel(
@@ -44,7 +44,7 @@ class TestDecodeEij:
         x, y = b.const("x"), b.const("y")
         formula = b.bnot(b.lt(b.succ(x), y))  # invalid: pick y > x + 1
         encoding = encode_eij(formula)
-        cnf = to_cnf(encoding.check_formula)
+        cnf = to_cnf(encoding.residual, cnf=encoding.cnf)
         result = solve_cnf(cnf)
         assert result.is_sat
         model = decode_countermodel(encoding, boolvar_model(cnf, result.model))
@@ -55,7 +55,7 @@ class TestDecodeEij:
         # Invalid: needs x = y but y != z.
         formula = b.bnot(b.band(b.eq(x, y), b.bnot(b.eq(y, z))))
         encoding = encode_eij(formula)
-        cnf = to_cnf(encoding.check_formula)
+        cnf = to_cnf(encoding.residual, cnf=encoding.cnf)
         result = solve_cnf(cnf)
         assert result.is_sat
         model = decode_countermodel(encoding, boolvar_model(cnf, result.model))
@@ -115,7 +115,7 @@ class TestEqualityOnlyClasses:
         formula = b.bnot(b.band(b.eq(x, y), b.eq(y, z)))
         encoding = encode_eij(formula)
         assert encoding.uses_eq_vars
-        cnf = to_cnf(encoding.check_formula)
+        cnf = to_cnf(encoding.residual, cnf=encoding.cnf)
         result = solve_cnf(cnf)
         assert result.is_sat
         model = decode_countermodel(
@@ -128,7 +128,7 @@ class TestEqualityOnlyClasses:
         # Falsified only when all three constants are pairwise distinct.
         formula = b.bor(b.eq(x, y), b.eq(y, z), b.eq(x, z))
         encoding = encode_eij(formula)
-        cnf = to_cnf(encoding.check_formula)
+        cnf = to_cnf(encoding.residual, cnf=encoding.cnf)
         result = solve_cnf(cnf)
         assert result.is_sat
         model = decode_countermodel(
@@ -142,7 +142,7 @@ class TestEqualityOnlyClasses:
         x, y, w = b.const("x"), b.const("y"), b.const("w")
         formula = b.band(b.eq(x, y), b.eq(w, w))  # w folds away
         encoding = encode_eij(formula)
-        cnf = to_cnf(encoding.check_formula)
+        cnf = to_cnf(encoding.residual, cnf=encoding.cnf)
         result = solve_cnf(cnf)
         assert result.is_sat
         model = decode_countermodel(
@@ -174,7 +174,7 @@ class TestPureVpOffsetAtoms:
         encoding = encode_eij(f_sep)
         analysis = encoding.analysis
         assert len(analysis.p_vars) >= 2
-        cnf = to_cnf(encoding.check_formula)
+        cnf = to_cnf(encoding.residual, cnf=encoding.cnf)
         result = solve_cnf(cnf)
         assert result.is_sat
         model = decode_countermodel(
@@ -260,7 +260,7 @@ class TestMixedClassDecoding:
         counts = sorted(c.sep_count for c in analysis.classes)
         encoding = encode_hybrid(formula, sep_thold=counts[0])
         assert set(encoding.method_of_class.values()) == {"SD", "EIJ"}
-        cnf = to_cnf(encoding.check_formula)
+        cnf = to_cnf(encoding.residual, cnf=encoding.cnf)
         result = solve_cnf(cnf)
         assert result.is_sat
         model = decode_countermodel(encoding, boolvar_model(cnf, result.model))

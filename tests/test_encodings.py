@@ -10,6 +10,7 @@ from repro.encodings.hybrid import (
     encode_static_hybrid,
 )
 from repro.logic import builders as b
+from repro.logic.terms import TRUE
 from repro.sat.solver import solve_cnf
 from repro.sat.tseitin import to_cnf
 from repro.separation.analysis import analyze_separation
@@ -17,7 +18,7 @@ from repro.transform.func_elim import eliminate_applications
 
 
 def is_valid(encoding: Encoding) -> bool:
-    return solve_cnf(to_cnf(encoding.check_formula)).is_unsat
+    return solve_cnf(to_cnf(encoding.residual, cnf=encoding.cnf)).is_unsat
 
 
 def sep(formula):
@@ -93,11 +94,25 @@ class TestCorrectnessOnKnownFormulas:
 
 class TestEncodingStructure:
     def test_f_bool_shape(self):
-        x, y = b.const("x"), b.const("y")
-        encoding = encode_eij(b.bnot(b.lt(b.succ(x), y)))
-        # F_bool is F_trans => F_bvar; check_formula its negation.
-        assert encoding.f_bool is not None
-        assert encoding.check_formula is not None
+        # F_bool is F_trans => F_bvar.  The EIJ part of F_trans arrives
+        # as packed clauses in encoding.cnf; Tseitin appends the residual
+        # (here just not F_bvar: there are no SD domain bounds).
+        x, y, z = b.const("x"), b.const("y"), b.const("z")
+        encoding = encode_eij(
+            b.bnot(b.band(b.lt(x, y), b.lt(y, z), b.lt(z, x)))
+        )
+        assert encoding.sd_domain is TRUE
+        trans = [list(c) for c in encoding.cnf.iter_packed()]
+        assert len(trans) == encoding.stats.trans_clauses > 0
+        registry = encoding.registry
+        for clause in trans:
+            for lit in clause:
+                name = encoding.cnf.names[lit >> 1]
+                assert registry.bound_of(name) is not None
+        cnf = to_cnf(encoding.residual, cnf=encoding.cnf)
+        assert cnf is encoding.cnf
+        assert [list(c) for c in cnf.iter_packed()][: len(trans)] == trans
+        assert len(cnf) > len(trans)
 
     def test_eij_equality_split_into_bounds(self):
         x, y = b.const("x"), b.const("y")

@@ -81,7 +81,7 @@ class TestEquivalidity:
         formula = random_sep_formula(seed, max_vars=3, depth=2)
         for encoder in (encode_sd, encode_eij, encode_hybrid):
             encoding = encoder(formula)
-            sat_neg = solve_cnf(to_cnf(encoding.check_formula))
+            sat_neg = solve_cnf(to_cnf(encoding.residual, cnf=encoding.cnf))
             via_encoding = sat_neg.is_unsat
             try:
                 expected = (

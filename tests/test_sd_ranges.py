@@ -29,14 +29,14 @@ class TestAllocationModes:
         ascending = encode_sd(formula, sd_ranges="ascending")
         # Same variables and widths; only the domain constraints differ.
         assert set(uniform.var_bits) == set(ascending.var_bits)
-        assert uniform.f_trans is not ascending.f_trans
+        assert uniform.sd_domain is not ascending.sd_domain
 
     def test_offset_classes_unaffected(self):
         x, y = b.const("x"), b.const("y")
         formula = b.bnot(b.lt(b.succ(x), y))
         uniform = encode_sd(formula, sd_ranges="uniform")
         ascending = encode_sd(formula, sd_ranges="ascending")
-        assert uniform.f_trans is ascending.f_trans
+        assert uniform.sd_domain is ascending.sd_domain
 
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 1_000_000))
@@ -47,7 +47,7 @@ class TestAllocationModes:
         except BruteForceLimitExceeded:
             return
         encoding = encode_sd(formula, sd_ranges="ascending")
-        got = solve_cnf(to_cnf(encoding.check_formula)).is_unsat
+        got = solve_cnf(to_cnf(encoding.residual, cnf=encoding.cnf)).is_unsat
         assert got == expected
 
     @settings(max_examples=60, deadline=None)

@@ -62,10 +62,11 @@ class TestEveryProfileEverySerializer:
 
         profile, seed = sample
         formula = generate_formula(seed, profile)
-        # Tseitin expects the propositional check formula, i.e. the
-        # output of the encoding pipeline, not the raw SUF formula.
+        # The CNF of the encoding pipeline's output, not the raw SUF
+        # formula: transitivity clauses plus the Tseitin residual.
         f_sep, _ = eliminate_applications(formula)
-        cnf = to_cnf(encode_hybrid(f_sep).check_formula)
+        encoding = encode_hybrid(f_sep)
+        cnf = to_cnf(encoding.residual, cnf=encoding.cnf)
         back = loads(dumps(cnf, comment="round-trip"))
         assert back.num_vars == cnf.num_vars
         assert [sorted(c) for c in back.clauses] == [
