@@ -64,9 +64,12 @@ def check_validity(
     sep_thold:
         HYBRID's ``SEP_THOLD`` (ignored by the other methods).
     trans_budget:
-        Optional cap on transitivity clauses for EIJ-encoded classes; when
-        exceeded, the result status is ``TRANSLATION_LIMIT`` (this is how
-        the experiments model the paper's EIJ translation-stage timeouts).
+        Optional cap on transitivity clauses for EIJ-encoded classes,
+        summed over the formula's classes.  The generator counts a
+        class's clauses before writing any, so a class that would pass
+        the cap is refused up front and the result status is
+        ``TRANSLATION_LIMIT`` (this is how the experiments model the
+        paper's EIJ translation-stage timeouts).
     sat_time_limit / sat_conflict_limit:
         Resource limits for the SAT search (status ``UNKNOWN`` when hit).
     sd_ranges:

@@ -94,16 +94,54 @@ class TestBasicGeneration:
         assert clauses == range(0, len(registry.cnf))
 
     def test_budget_exceeded(self):
-        registry = SepVarRegistry()
-        vars_ = make_vars(8)
-        rng = random.Random(0)
-        for _ in range(40):
-            a, c = rng.sample(vars_, 2)
-            registry.literal(a, c, rng.randint(-5, 5))
+        registry, vars_ = dense_bound_registry()
+        stats = TransitivityStats()
+        with pytest.raises(TransitivityBudgetExceeded) as info:
+            generate_transitivity(registry, vars_, budget=3, stats=stats)
+        assert stats.clauses == info.value.clauses == 4
+
+    def test_budget_exceeded_counts_earlier_classes(self):
+        # The budget caps the running total across a formula's classes.
+        registry, vars_ = dense_bound_registry()
+        stats = TransitivityStats(clauses=2)
+        with pytest.raises(TransitivityBudgetExceeded) as info:
+            generate_transitivity(registry, vars_, budget=3, stats=stats)
+        assert stats.clauses == info.value.clauses == 4
+
+        registry, vars_ = dense_bound_registry()
+        needed = len(generate_transitivity(registry, vars_))
+        registry, vars_ = dense_bound_registry()
+        stats = TransitivityStats(clauses=1)
+        with pytest.raises(TransitivityBudgetExceeded):
+            generate_transitivity(registry, vars_, budget=needed, stats=stats)
+        assert stats.clauses == needed + 1
+
+    def test_refused_class_writes_nothing(self):
+        registry, vars_ = dense_bound_registry()
+        var_count = registry.var_count()
         stats = TransitivityStats()
         with pytest.raises(TransitivityBudgetExceeded):
             generate_transitivity(registry, vars_, budget=3, stats=stats)
-        assert stats.clauses == 4
+        assert len(registry.cnf) == 0
+        assert registry.cnf.num_vars == 0
+        assert registry.var_count() == var_count
+        assert registry.derived_var_count == 0
+        assert stats == TransitivityStats(clauses=4)
+
+    def test_refused_equality_class_writes_nothing(self):
+        registry = SepVarRegistry()
+        w, x, y, z = make_vars(4)
+        for a, c in ((w, x), (x, y), (y, z), (z, w)):
+            registry.eq_var(a, c)
+        stats = TransitivityStats()
+        with pytest.raises(TransitivityBudgetExceeded) as info:
+            generate_equality_transitivity(
+                registry, [w, x, y, z], budget=5, stats=stats
+            )
+        assert stats.clauses == info.value.clauses == 6
+        assert len(registry.cnf) == 0
+        assert registry.cnf.num_vars == 0
+        assert registry.derived_var_count == 0
 
     def test_stats_populated(self):
         registry = SepVarRegistry()
@@ -145,6 +183,17 @@ class TestBasicGeneration:
         assert len(clauses) == stats.clauses == 6
         assert stats.fill_edges == registry.derived_var_count == 1
         assert all(len(c) == 3 for c in emitted(registry, clauses))
+
+
+def dense_bound_registry():
+    """Forty random bounds over eight constants: far over a small budget."""
+    registry = SepVarRegistry()
+    vars_ = make_vars(8)
+    rng = random.Random(0)
+    for _ in range(40):
+        a, c = rng.sample(vars_, 2)
+        registry.literal(a, c, rng.randint(-5, 5))
+    return registry, vars_
 
 
 def assignment_consistent(registry, assignment):
@@ -258,3 +307,47 @@ class TestSoundness:
         registry, vars_ = random_equality_registry(random.Random(seed))
         clauses = generate_equality_transitivity(registry, vars_)
         assert_clauses_sound(registry, emitted(registry, clauses))
+
+
+class TestBudgetPlan:
+    """The plan counts exactly what the emitter writes: a class is refused
+    iff its clauses do not fit in what the budget has left, a refused
+    class leaves the registry untouched, and an accepted one is emitted
+    exactly as without a budget."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        equality=st.booleans(),
+        start=st.integers(0, 5),
+        offset=st.integers(-4, 4),
+    )
+    def test_refused_iff_over_budget(self, seed, equality, start, offset):
+        if equality:
+            make, generate = (
+                random_equality_registry,
+                generate_equality_transitivity,
+            )
+        else:
+            make, generate = random_bound_registry, generate_transitivity
+        registry, vars_ = make(random.Random(seed))
+        free = TransitivityStats()
+        expected = emitted(registry, generate(registry, vars_, stats=free))
+        budget = max(0, start + len(expected) + offset)
+
+        registry, vars_ = make(random.Random(seed))
+        var_count = registry.var_count()
+        stats = TransitivityStats(clauses=start)
+        if len(expected) > budget - start:
+            with pytest.raises(TransitivityBudgetExceeded) as info:
+                generate(registry, vars_, budget=budget, stats=stats)
+            assert info.value.clauses == budget + 1
+            assert stats == TransitivityStats(clauses=budget + 1)
+            assert len(registry.cnf) == registry.cnf.num_vars == 0
+            assert registry.var_count() == var_count
+            assert registry.derived_var_count == 0
+        else:
+            clauses = generate(registry, vars_, budget=budget, stats=stats)
+            assert emitted(registry, clauses) == expected
+            free.clauses += start
+            assert stats == free

@@ -3,8 +3,8 @@
 For each of the 98 suite formulas (valid and invalid) that HYBRID
 encodes at SEP_THOLD=700 with a transitivity budget of 100000, prints
 the sha256 of its sorted, rendered clause set together with the
-accumulated ``TransitivityStats``.  Formulas that exhaust the budget are
-left out.  A literal renders as the bound it asserts (``x - y <= 3``) or
+accumulated ``TransitivityStats``.  A formula that exhausts the budget
+gets ``{"refused": true, "clauses": <reported count>}`` instead.  A literal renders as the bound it asserts (``x - y <= 3``) or
 as ``x = y`` / ``x != y``, so the fingerprint does not depend on CNF
 variable numbering.
 
@@ -66,12 +66,15 @@ def fingerprints() -> Dict[str, Any]:
         setattr(hybrid, name, capture(getattr(hybrid, name)))
     for bench in suite(valid=True) + suite(valid=False):
         captured[:] = []
+        key = "%s/%s" % (bench.name, "valid" if bench.expected_valid
+                         else "invalid")
         f_sep, _ = eliminate_applications(bench.formula)
         try:
             encoding = hybrid.encode_hybrid(
                 f_sep, sep_thold=SEP_THOLD, trans_budget=TRANS_BUDGET
             )
         except TransitivityBudgetExceeded:
+            out[key] = {"refused": True, "clauses": captured[0].clauses}
             continue
         # Before Tseitin runs, the CNF holds exactly the F_trans clauses.
         rendered = sorted(
@@ -81,8 +84,6 @@ def fingerprints() -> Dict[str, Any]:
             for c in encoding.cnf.iter_packed()
         )
         stats = captured[0] if captured else TransitivityStats()
-        key = "%s/%s" % (bench.name, "valid" if bench.expected_valid
-                         else "invalid")
         out[key] = {
             "sha256": hashlib.sha256(
                 "\n".join([FINGERPRINT_SCHEMA] + rendered).encode()
