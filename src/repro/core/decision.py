@@ -36,11 +36,14 @@ from ..logic.traversal import (
 from ..separation.unionfind import DisjointSet
 from ..theory.difference import check_bounds
 from ..transform.func_elim import FuncElimInfo
-from .result import DecisionResult
+from .result import SolveOutcome
 
-__all__ = ["check_validity", "decode_countermodel", "lift_countermodel"]
-
-METHODS = ("sd", "eij", "hybrid", "static")
+__all__ = [
+    "check_validity",
+    "boolvar_model",
+    "decode_countermodel",
+    "lift_countermodel",
+]
 
 
 def check_validity(
@@ -52,7 +55,7 @@ def check_validity(
     sat_conflict_limit: Optional[int] = None,
     want_countermodel: bool = True,
     sd_ranges: str = "uniform",
-) -> DecisionResult:
+) -> SolveOutcome:
     """Decide whether a SUF formula is valid.
 
     Parameters
@@ -60,7 +63,8 @@ def check_validity(
     formula:
         The SUF formula (see :mod:`repro.logic.builders`).
     method:
-        ``"hybrid"`` (the paper's contribution), ``"sd"`` or ``"eij"``.
+        ``"hybrid"`` (the paper's contribution), ``"sd"``, ``"eij"`` or
+        ``"static"``; anything else raises :class:`ValueError`.
     sep_thold:
         HYBRID's ``SEP_THOLD`` (ignored by the other methods).
     trans_budget:
@@ -77,16 +81,13 @@ def check_validity(
         ``"ascending"`` applies the tighter Pnueli-et-al. allocation to
         equality-only classes (only affects the ``sd`` method).
     """
-    if method not in METHODS:
-        raise ValueError("unknown method %r; expected one of %r" % (method, METHODS))
-
     # Deferred import: repro.engine builds on this module (it reuses the
     # decoding helpers below), so the dependency must not be circular at
     # import time.
     from ..engine.contract import SolveRequest
     from ..engine.stages import run_eager
 
-    outcome = run_eager(
+    return run_eager(
         SolveRequest(
             formula=formula,
             sep_thold=sep_thold,
@@ -98,7 +99,15 @@ def check_validity(
         ),
         method=method,
     )
-    return outcome.to_decision_result()
+
+
+def boolvar_model(cnf: Any, model: Dict[int, bool]) -> Dict[BoolVar, bool]:
+    """Restrict a DIMACS model to the named Boolean variables."""
+    out: Dict[BoolVar, bool] = {}
+    for var, name in cnf.names.items():
+        if isinstance(name, BoolVar) and var in model:
+            out[name] = model[var]
+    return out
 
 
 def decode_countermodel(

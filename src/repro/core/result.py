@@ -1,9 +1,17 @@
-"""Result and statistics types for the decision procedures."""
+"""Result and statistics types for the decision procedures.
+
+:class:`SolveOutcome` is what every procedure returns, and
+:class:`DecisionStats` its telemetry.  Stage records are the one place
+timings and sizes are written; the paper's encode/search split and the
+DAG and CNF sizes are derived from them here.
+"""
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from ..encodings.hybrid import EncodingStats
 from ..logic.semantics import Interpretation
@@ -13,11 +21,23 @@ from .status import Status
 
 __all__ = [
     "StageRecord",
+    "StageClock",
     "CacheStats",
     "DecisionStats",
-    "DecisionResult",
+    "SolveOutcome",
+    "ENCODE_STAGES",
+    "SEARCH_STAGES",
     "Status",
 ]
+
+#: The paper reports a method's time as translation to a Boolean formula
+#: plus SAT search (Figs. 2-6).  These name the stages of each part, for
+#: every engine: the eager pipeline, lazy's ``encode``/``refine``, SVC's
+#: ``flatten``/``split`` and brute's ``enumerate``.  Other stages count in
+#: neither: the portfolio's ``race`` and the ``cache`` lookup wrap another
+#: engine's stages, and ``decode`` runs after the verdict.
+ENCODE_STAGES = ("func-elim", "encode", "cnf", "preprocess", "flatten")
+SEARCH_STAGES = ("sat", "refine", "split", "enumerate")
 
 
 @dataclass
@@ -75,34 +95,88 @@ class StageRecord:
         return parts
 
 
+class StageClock:
+    """Collects :class:`StageRecord` entries with wall-clock timing.
+
+    Use as ``with clock.stage("encode") as rec: ...``; counters added to
+    ``rec.counters`` inside the block are kept, the elapsed time is
+    stamped on exit (also on exceptions, so failed stages still report
+    how long they ran).
+    """
+
+    def __init__(self) -> None:
+        self.records: List[StageRecord] = []
+
+    @contextmanager
+    def stage(self, name: str) -> Iterator[StageRecord]:
+        record = StageRecord(name=name)
+        self.records.append(record)
+        start = time.perf_counter()
+        try:
+            yield record
+        finally:
+            record.seconds = time.perf_counter() - start
+
+
 @dataclass
 class DecisionStats:
-    """Timing and size measurements for one validity check.
+    """Telemetry for one validity check.
 
-    ``encode_seconds`` covers everything up to and including CNF
-    generation (the paper's "time taken to translate the formula to a
-    Boolean formula"); ``sat_seconds`` is the SAT search.  Their sum is the
-    paper's "total time".  ``stages`` is the finer-grained uniform
-    telemetry recorded by the engine layer (func-elim → encode → CNF →
-    SAT → decode for the eager pipeline).
+    ``stages`` is the per-stage record every engine writes (func-elim →
+    encode → CNF → preprocess → SAT → decode for the eager pipeline).
+    The paper's numbers are read from it: ``encode_seconds`` sums the
+    :data:`ENCODE_STAGES`, ``sat_seconds`` the :data:`SEARCH_STAGES`,
+    and their sum is the paper's "total time"; the DAG and CNF sizes are
+    stage counters.  The other fields are the full statistics objects of
+    the encoder, preprocessor, SAT search and result cache.
     """
 
     method: str = ""
-    dag_size_suf: int = 0
-    dag_size_sep: int = 0
-    encode_seconds: float = 0.0
-    sat_seconds: float = 0.0
-    cnf_vars: int = 0
-    cnf_clauses: int = 0
     encoding: Optional[EncodingStats] = None
     preprocess: Optional[PreprocessStats] = None
     sat: Optional[SatStats] = None
     cache: Optional[CacheStats] = None
     stages: List[StageRecord] = field(default_factory=list)
 
+    def seconds(self, *names: str) -> float:
+        """Summed wall time of the stages called ``names``."""
+        return sum(r.seconds for r in self.stages if r.name in names)
+
+    def counter(self, key: str) -> int:
+        """The first stage counter called ``key``; 0 if none records it."""
+        for record in self.stages:
+            if key in record.counters:
+                return record.counters[key]
+        return 0
+
+    @property
+    def encode_seconds(self) -> float:
+        """Translation to CNF (the paper's "time to translate")."""
+        return self.seconds(*ENCODE_STAGES)
+
+    @property
+    def sat_seconds(self) -> float:
+        return self.seconds(*SEARCH_STAGES)
+
     @property
     def total_seconds(self) -> float:
         return self.encode_seconds + self.sat_seconds
+
+    @property
+    def dag_size_suf(self) -> int:
+        return self.counter("dag_suf")
+
+    @property
+    def dag_size_sep(self) -> int:
+        return self.counter("dag_sep")
+
+    @property
+    def cnf_vars(self) -> int:
+        return self.counter("vars")
+
+    @property
+    def cnf_clauses(self) -> int:
+        return self.counter("clauses")
 
     @property
     def conflict_clauses(self) -> int:
@@ -115,41 +189,35 @@ class DecisionStats:
         """SepCnt summed over classes — the paper's Figure-3 x-axis."""
         return self.encoding.total_sep_count if self.encoding else 0
 
-    def normalized_seconds(self) -> float:
-        """Total time per thousand SUF DAG nodes (Figure 3's y-axis)."""
-        knodes = max(self.dag_size_suf, 1) / 1000.0
-        return self.total_seconds / knodes
-
 
 @dataclass
-class DecisionResult:
-    """Outcome of :func:`repro.core.decision.check_validity`."""
+class SolveOutcome:
+    """What every engine returns.
 
-    # String-compatible class constants, kept for backward compatibility
-    # (``result.status == DecisionResult.VALID`` and ``== "VALID"`` both
-    # keep working; see :class:`repro.core.status.Status`).
-    VALID = Status.VALID
-    INVALID = Status.INVALID
-    UNKNOWN = Status.UNKNOWN
-    TRANSLATION_LIMIT = Status.TRANSLATION_LIMIT
+    ``engine`` is the registry name that produced the outcome; for the
+    portfolio it is ``"portfolio"`` and ``winner`` names the member whose
+    verdict was adopted.  ``stats.stages`` holds the per-stage telemetry
+    (procedure-specific counters included); ``wall_seconds`` is the
+    request's own wall time, which also covers work outside any stage.
+    """
 
+    engine: str
     status: Status
     stats: DecisionStats = field(default_factory=DecisionStats)
     counterexample: Optional[Interpretation] = None
     detail: str = ""
+    wall_seconds: float = 0.0
+    winner: Optional[str] = None
 
     @property
     def valid(self) -> Optional[bool]:
-        """True / False when decided, ``None`` when a limit was hit."""
-        if self.status == self.VALID:
-            return True
-        if self.status == self.INVALID:
-            return False
-        return None
+        """True / False when decided, ``None`` otherwise."""
+        return self.status.as_valid
 
-    def __repr__(self) -> str:
-        return "DecisionResult(status=%s, method=%s, total=%.3fs)" % (
-            self.status,
-            self.stats.method,
-            self.stats.total_seconds,
-        )
+    @property
+    def decided(self) -> bool:
+        return self.status.decided
+
+    @property
+    def stages(self) -> List[StageRecord]:
+        return self.stats.stages

@@ -1,9 +1,10 @@
 """The shared status vocabulary for every decision procedure.
 
-:class:`Status` replaces the stringly-typed constants that used to live
-on :class:`~repro.core.result.DecisionResult`.  It subclasses :class:`str`
-so every existing comparison (``result.status == "VALID"``, dict keys,
-``"%s" % status``, JSON serialization) keeps working unchanged.
+:class:`Status` is the ``status`` of every
+:class:`~repro.core.result.SolveOutcome`, and the one place decided
+verdicts map to ``True``/``False``.  It subclasses :class:`str` so
+comparisons with plain strings (``outcome.status == "VALID"``, dict
+keys, ``"%s" % status``, JSON serialization) keep working.
 """
 
 from __future__ import annotations

@@ -16,11 +16,14 @@ countermodel decode.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, List, Optional
 
-from ..core.decision import decode_countermodel, lift_countermodel
-from ..core.result import DecisionStats, StageRecord
+from ..core.decision import (
+    boolvar_model,
+    decode_countermodel,
+    lift_countermodel,
+)
+from ..core.result import DecisionStats, StageClock, StageRecord
 from ..core.status import Status
 from ..encodings.hybrid import (
     encode_eij,
@@ -30,7 +33,6 @@ from ..encodings.hybrid import (
 )
 from ..encodings.transitivity import TransitivityBudgetExceeded
 from ..logic.semantics import evaluate
-from ..logic.terms import BoolVar
 from ..logic.traversal import dag_size
 from ..sat.preprocess import preprocess_cnf
 from ..sat.solver import CdclSolver, SatStats
@@ -38,7 +40,7 @@ from ..sat.tseitin import to_cnf
 from ..transform.func_elim import eliminate_applications
 from .contract import SolveOutcome, SolveRequest
 
-__all__ = ["StageClock", "run_eager", "boolvar_model", "SatRunner"]
+__all__ = ["run_eager", "SatRunner"]
 
 #: Replacement SAT search for :func:`run_eager`: called with the solver's
 #: CNF, the request, the live ``sat`` :class:`StageRecord`, and the CNF
@@ -49,41 +51,6 @@ __all__ = ["StageClock", "run_eager", "boolvar_model", "SatRunner"]
 #: the SAT stage — encoding, preprocessing, model reconstruction,
 #: countermodel decode — is shared with the sequential engines.
 SatRunner = Callable[[Any, SolveRequest, StageRecord, List[int]], Any]
-
-
-class StageClock:
-    """Collects :class:`StageRecord` entries with wall-clock timing.
-
-    Use as ``with clock.stage("encode") as rec: ...``; counters added to
-    ``rec.counters`` inside the block are kept, the elapsed time is
-    stamped on exit (also on exceptions, so failed stages still report
-    how long they ran).
-    """
-
-    def __init__(self) -> None:
-        self.records: List[StageRecord] = []
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[StageRecord]:
-        record = StageRecord(name=name)
-        self.records.append(record)
-        start = time.perf_counter()
-        try:
-            yield record
-        finally:
-            record.seconds = time.perf_counter() - start
-
-    def seconds(self, *names: str) -> float:
-        return sum(r.seconds for r in self.records if r.name in names)
-
-
-def boolvar_model(cnf: Any, model: Dict[int, bool]) -> Dict[BoolVar, bool]:
-    """Restrict a DIMACS model to the named Boolean variables."""
-    out: Dict[BoolVar, bool] = {}
-    for var, name in cnf.names.items():
-        if isinstance(name, BoolVar) and var in model:
-            out[name] = model[var]
-    return out
 
 
 _ENCODERS = {
@@ -105,9 +72,9 @@ def run_eager(
 ) -> SolveOutcome:
     """Run the eager pipeline end to end with per-stage telemetry.
 
-    The returned outcome's ``stats`` keeps the historical field split
-    (``encode_seconds`` covers func-elim + encode + CNF, ``sat_seconds``
-    the SAT search) on top of the finer-grained ``stats.stages``.
+    ``stats.stages`` is the only place timings and sizes are written;
+    ``stats.encode_seconds`` (func-elim + encode + CNF + preprocess) and
+    ``stats.sat_seconds`` are derived from it.
     """
     if method not in _ENCODERS:
         raise ValueError(
@@ -123,10 +90,6 @@ def run_eager(
         counterexample: Optional[Any] = None,
         detail: str = "",
     ) -> SolveOutcome:
-        stats.encode_seconds = clock.seconds(
-            "func-elim", "encode", "cnf", "preprocess"
-        )
-        stats.sat_seconds = clock.seconds("sat")
         return SolveOutcome(
             engine=method,
             status=status,
@@ -137,11 +100,9 @@ def run_eager(
         )
 
     with clock.stage("func-elim") as rec:
-        stats.dag_size_suf = dag_size(request.formula)
+        rec.counters["dag_suf"] = dag_size(request.formula)
         f_sep, elim_info = eliminate_applications(request.formula)
-        stats.dag_size_sep = dag_size(f_sep)
-        rec.counters["dag_suf"] = stats.dag_size_suf
-        rec.counters["dag_sep"] = stats.dag_size_sep
+        rec.counters["dag_sep"] = dag_size(f_sep)
         rec.counters["fresh_consts"] = len(elim_info.fresh_func_vars()) + len(
             elim_info.fresh_pred_vars()
         )
@@ -160,8 +121,6 @@ def run_eager(
 
     with clock.stage("cnf") as rec:
         cnf = to_cnf(encoding.residual, mode="pg", cnf=encoding.cnf)
-        stats.cnf_vars = cnf.num_vars
-        stats.cnf_clauses = len(cnf)
         rec.counters["vars"] = cnf.num_vars
         rec.counters["clauses"] = len(cnf)
         # Surface the EIJ→CNF-var map: these are the separation

@@ -72,6 +72,43 @@ class TestCheckCommand:
         assert code == 0
 
 
+class TestReportedTime:
+    """``check`` and ``bench`` print the request's wall time, not the sum
+    of its stages (a portfolio race or a cache hit spends time outside
+    the winner's stages)."""
+
+    @pytest.fixture
+    def stub_engine(self, monkeypatch):
+        from repro.core.result import DecisionStats, StageRecord
+        from repro.core.status import Status
+        from repro.engine import registry
+        from repro.engine.contract import SolveOutcome
+
+        class Stub:
+            def solve(self, request):
+                stats = DecisionStats(
+                    stages=[StageRecord("encode"), StageRecord("sat")]
+                )
+                return SolveOutcome(
+                    engine="hybrid",
+                    status=Status.VALID,
+                    stats=stats,
+                    wall_seconds=1.25,
+                )
+
+        monkeypatch.setattr(registry, "get", lambda name: Stub())
+
+    def test_check_prints_wall_seconds(self, stub_engine):
+        code, out = run_cli(["check", "-"], stdin_text="(= x x)")
+        assert code == 0
+        assert "time: 1.250s (encode 0.000s, search 0.000s)" in out
+
+    def test_bench_prints_wall_seconds(self, stub_engine):
+        code, out = run_cli(["bench", "pipeline_s2_r2_1"])
+        assert code == 0
+        assert "VALID in 1.250s" in out
+
+
 class TestBenchCommand:
     def test_known_benchmark(self):
         code, out = run_cli(["bench", "pipeline_s2_r2_1"])

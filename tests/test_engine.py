@@ -1,14 +1,16 @@
 """Tests for the engine layer: contract, registry, stage telemetry."""
 
+import dataclasses
+
 import pytest
 
 from repro.benchgen.suite import benchmark_by_name
-from repro.core.result import DecisionResult
 from repro.core.status import Status
 from repro.engine import registry
 from repro.engine.base import Engine, EngineCapabilities
 from repro.engine.contract import SolveOutcome, SolveRequest
 from repro.logic.parser import parse_formula
+from repro.logic.traversal import dag_size
 
 VALID_F = "(=> (and (< x y) (< y z)) (< x z))"
 INVALID_F = "(= x y)"
@@ -23,10 +25,6 @@ class TestStatus:
         assert "%s" % Status.INVALID == "INVALID"
         assert "{}".format(Status.UNKNOWN) == "UNKNOWN"
         assert Status("VALID") is Status.VALID
-
-    def test_decision_result_constants_are_statuses(self):
-        assert DecisionResult.VALID is Status.VALID
-        assert DecisionResult.TRANSLATION_LIMIT is Status.TRANSLATION_LIMIT
 
     def test_as_valid(self):
         assert Status.VALID.as_valid is True
@@ -112,27 +110,144 @@ class TestEngineContract:
                 outcome.status,
             )
 
-    def test_to_decision_result_round_trip(self):
-        outcome = registry.get("hybrid").decide(parse_formula(INVALID_F))
-        result = outcome.to_decision_result()
-        assert isinstance(result, DecisionResult)
-        assert result.status == Status.INVALID
-        assert result.counterexample is outcome.counterexample
-        assert result.stats is outcome.stats
+    def test_check_validity_returns_run_eager_outcome(self, monkeypatch):
+        from repro.core.decision import check_validity
+        from repro.engine import stages
+
+        formula = parse_formula(VALID_F)
+        assert isinstance(check_validity(formula), SolveOutcome)
+        produced = SolveOutcome(engine="sd", status=Status.VALID)
+        calls = []
+
+        def fake_run_eager(request, method):
+            calls.append((request, method))
+            return produced
+
+        monkeypatch.setattr(stages, "run_eager", fake_run_eager)
+        assert check_validity(formula, method="sd", sep_thold=5) is produced
+        [(request, method)] = calls
+        assert method == "sd"
+        assert request.formula is formula and request.sep_thold == 5
 
     def test_replace_formula_keeps_knobs(self):
         request = SolveRequest(
             formula=parse_formula(VALID_F),
+            want_countermodel=False,
+            time_limit=2.5,
+            conflict_limit=9,
             sep_thold=123,
+            trans_budget=77,
+            sd_ranges="ascending",
+            preprocess=False,
             options={"limit": 7},
         )
-        clone = request.replace_formula(parse_formula(INVALID_F))
-        assert clone.sep_thold == 123
-        assert clone.options == {"limit": 7}
-        assert clone.formula is not request.formula
+        new_formula = parse_formula(INVALID_F)
+        clone = request.replace_formula(new_formula)
+        assert clone.formula is new_formula
+        for field in dataclasses.fields(SolveRequest):
+            if field.name == "formula":
+                continue
+            # Every knob is set off its default, so a field the copy
+            # dropped would show up as a mismatch.
+            if field.default is not dataclasses.MISSING:
+                default = field.default
+            else:
+                default = field.default_factory()
+            assert getattr(request, field.name) != default, field.name
+            assert getattr(clone, field.name) == getattr(
+                request, field.name
+            ), field.name
+        assert clone.options is not request.options
+
+
+EAGER_COUNTERS = {
+    "func-elim": {"dag_suf", "dag_sep", "fresh_consts"},
+    "encode": {
+        "classes",
+        "sd_classes",
+        "eij_classes",
+        "sep_vars",
+        "trans_clauses",
+    },
+    "cnf": {"vars", "clauses", "sep_cnf_vars"},
+    "preprocess": {
+        "clauses_before",
+        "clauses_after",
+        "vars_before",
+        "vars_after",
+        "units",
+        "pure",
+        "subsumed",
+        "strengthened",
+        "eliminated",
+    },
+    "sat": {"decisions", "propagations", "conflicts", "learned"},
+    "decode": {"model_vars"},
+}
+
+#: Stage names, in order, and counter keys per engine: the telemetry
+#: contract the benchmark harness and ``repro check --stats`` read.
+STAGE_COUNTERS = {
+    **{name: EAGER_COUNTERS for name in ("hybrid", "static", "eij", "sd")},
+    "lazy": {
+        "encode": {"dag_suf", "dag_sep", "vars", "clauses"},
+        "refine": {"iterations", "theory_checks", "conflict_clauses"},
+    },
+    "svc": {
+        "flatten": {"dag_suf", "dag_sep"},
+        "split": {"splits", "theory_checks", "pruned"},
+    },
+    "brute": {"enumerate": {"limit"}},
+}
+
+#: The stage a wrapper engine appends after its member's stages, and the
+#: counter key sets that stage may carry (a cache miss or a cache hit).
+WRAPPER_STAGES = {
+    "cached": (
+        "cache",
+        ({"miss", "store"}, {"hit", "hit_memory", "hit_disk"}),
+    ),
+    "portfolio": ("race", ({"members", "finished", "cancelled"},)),
+}
+
+INVALID_UF_F = "(=> (< x y) (= (f x) (f y)))"
+
+
+def expected_stage_names(engine, outcome, names):
+    expected = list(STAGE_COUNTERS[engine])
+    if engine in ("hybrid", "static", "eij", "sd"):
+        if outcome.status is not Status.INVALID:
+            expected.remove("decode")
+            if "sat" not in names:  # preprocessing closed the instance
+                expected.remove("sat")
+    return expected
 
 
 class TestStageTelemetry:
+    @pytest.mark.parametrize("name", ALL_ENGINES + ("cached", "portfolio"))
+    @pytest.mark.parametrize("text", [VALID_F, INVALID_UF_F])
+    def test_stage_contract(self, name, text):
+        formula = parse_formula(text)
+        outcome = registry.get(name).decide(formula, time_limit=30.0)
+        assert outcome.decided
+        stages = list(outcome.stages)
+        if name in WRAPPER_STAGES:
+            stage, counter_sets = WRAPPER_STAGES[name]
+            wrapper = stages.pop()
+            assert wrapper.name == stage
+            assert set(wrapper.counters) in counter_sets
+        if stages:
+            member = outcome.winner or outcome.engine
+            names = [record.name for record in stages]
+            assert names == expected_stage_names(member, outcome, names)
+            for record in stages:
+                expected = STAGE_COUNTERS[member][record.name]
+                assert set(record.counters) == expected, record.name
+        stats = outcome.stats
+        assert stats.encode_seconds + stats.sat_seconds <= outcome.wall_seconds
+        if stats.counter("dag_suf"):
+            assert stats.dag_size_suf == dag_size(formula)
+
     def test_eager_stage_names(self):
         outcome = registry.get("hybrid").decide(parse_formula(VALID_F))
         names = [s.name for s in outcome.stages]
