@@ -123,12 +123,14 @@ class DecisionStats:
     """Telemetry for one validity check.
 
     ``stages`` is the per-stage record every engine writes (func-elim →
-    encode → CNF → preprocess → SAT → decode for the eager pipeline).
+    encode → CNF → SAT → decode for the eager pipeline, with the opt-in
+    preprocess stage between CNF and SAT).
     The paper's numbers are read from it: ``encode_seconds`` sums the
     :data:`ENCODE_STAGES`, ``sat_seconds`` the :data:`SEARCH_STAGES`,
     and their sum is the paper's "total time"; the DAG and CNF sizes are
     stage counters.  The other fields are the full statistics objects of
-    the encoder, preprocessor, SAT search and result cache.
+    the encoder, preprocessor (``None`` unless it ran), SAT search and
+    result cache.
     """
 
     method: str = ""

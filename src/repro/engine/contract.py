@@ -39,9 +39,9 @@ class SolveRequest:
     trans_budget: Optional[int] = None
     sd_ranges: str = "uniform"
     #: Run the SatELite-style CNF simplifier between CNF generation and
-    #: the SAT search (eager engines only; ``repro check --no-preprocess``
-    #: is the escape hatch).
-    preprocess: bool = True
+    #: the SAT search (eager engines only; ``repro check --preprocess``).
+    #: Off by default: on the suite it costs more than it saves.
+    preprocess: bool = False
     options: Dict[str, Any] = field(default_factory=dict)
 
     def replace_formula(self, formula: Formula) -> "SolveRequest":

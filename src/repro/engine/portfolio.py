@@ -96,7 +96,7 @@ def _request_from_payload(payload: Dict[str, Any]) -> SolveRequest:
         sep_thold=payload["sep_thold"],
         trans_budget=payload["trans_budget"],
         sd_ranges=payload["sd_ranges"],
-        preprocess=payload.get("preprocess", True),
+        preprocess=payload["preprocess"],
         options=dict(payload["options"]),
     )
 

@@ -1,16 +1,16 @@
 """The eager pipeline, restructured as individually-timed stages.
 
-``func-elim → encode → cnf → preprocess → sat → decode`` is the paper's
-§2.1 flow plus a SatELite-style CNF simplification stage
-(:mod:`repro.sat.preprocess`); this module is the single implementation
-behind the ``sd`` / ``eij`` / ``hybrid`` / ``static`` engines *and* the
-historical :func:`repro.core.decision.check_validity` entry point.
-Every stage appends a :class:`~repro.core.result.StageRecord` (wall
-seconds plus counters) so telemetry has the same shape for every engine.
-The preprocess stage is skipped when ``SolveRequest.preprocess`` is
-false (``repro check --no-preprocess``); when it runs, eliminated
-variables are re-derived through the model-reconstruction stack before
-countermodel decode.
+``func-elim → encode → cnf → sat → decode`` is the paper's §2.1 flow;
+this module is the single implementation behind the ``sd`` / ``eij`` /
+``hybrid`` / ``static`` engines *and* the historical
+:func:`repro.core.decision.check_validity` entry point.  Every stage
+appends a :class:`~repro.core.result.StageRecord` (wall seconds plus
+counters) so telemetry has the same shape for every engine.  An opt-in
+SatELite-style CNF simplification stage (:mod:`repro.sat.preprocess`)
+runs between ``cnf`` and ``sat`` when ``SolveRequest.preprocess`` is
+true (``repro check --preprocess``); it then re-derives eliminated
+variables through the model-reconstruction stack before countermodel
+decode.
 """
 
 from __future__ import annotations

@@ -93,7 +93,7 @@ class Discrepancy:
 
 
 def _engine_method(
-    name: str, preprocess: bool = True, **options
+    name: str, preprocess: bool = SolveRequest.preprocess, **options
 ) -> Callable[[Formula], MethodOutcome]:
     """Wrap a registry engine as a differential-oracle method.
 
@@ -373,7 +373,8 @@ def default_methods(
 
     ``brute`` is the reference; the eager methods and both baselines are
     the systems under test.  The bare eager methods run with the CNF
-    preprocessing stage off (the raw encodings the paper describes);
+    preprocessing stage off (the default, and the raw encodings the
+    paper describes);
     ``sd+preprocess`` / ``hybrid+preprocess`` run the same engines with
     preprocessing on, so every verdict *and* every countermodel coming
     back through the model-reconstruction stack is cross-checked against
@@ -398,12 +399,12 @@ def default_methods(
     """
     methods: Dict[str, Callable[[Formula], MethodOutcome]] = {
         "brute": _engine_method("brute", limit=oracle_limit),
-        "sd": _engine_method("sd", preprocess=False),
-        "eij": _engine_method("eij", preprocess=False),
-        "hybrid": _engine_method("hybrid", preprocess=False),
-        "static": _engine_method("static", preprocess=False),
-        "sd+preprocess": _engine_method("sd"),
-        "hybrid+preprocess": _engine_method("hybrid"),
+        "sd": _engine_method("sd"),
+        "eij": _engine_method("eij"),
+        "hybrid": _engine_method("hybrid"),
+        "static": _engine_method("static"),
+        "sd+preprocess": _engine_method("sd", preprocess=True),
+        "hybrid+preprocess": _engine_method("hybrid", preprocess=True),
         "lazy": _engine_method("lazy", max_iterations=10_000),
         "svc": _engine_method("svc", max_splits=200_000),
         "cached": _cached_method(),

@@ -254,31 +254,71 @@ class CdclSolver:
         feeding CNF growth into a live solver without materializing
         signed clause lists.  Backtracks to the root level first, like
         :meth:`add_clause`.
+
+        This is the construction hot path, so it inlines what
+        :meth:`_attach_simplified`, :meth:`_alloc` and
+        :meth:`_watch_clause` do for one clause: duplicate literals are
+        dropped, tautologies skipped, units queued, an empty clause
+        makes the solver UNSAT, and every other clause goes to the
+        arena tail (or a free slot of its size, when a session grows
+        after :meth:`_reduce_db`) with its two watches appended.
         """
         if cnf.num_vars > self.nvars:
             self.ensure_nvars(cnf.num_vars)
         self._backtrack(0)
+        if not self._ok:
+            return
         lits, starts = cnf.packed_arrays()
         stamps = self._stamps
-        for i in range(start, len(starts) - 1):
-            if not self._ok:
-                return
-            a = starts[i]
-            b = starts[i + 1]
-            self._stamp += 1
-            stamp = self._stamp
-            simplified: List[int] = []
-            tautology = False
-            for k in range(a, b):
-                q = lits[k]
+        stamp = self._stamp
+        arena = self.arena
+        free = self._free
+        units = self._units
+        watch_blockers = self.watch_blockers
+        watch_refs = self.watch_refs
+        bin_blockers = self.bin_blockers
+        bin_refs = self.bin_refs
+        attached = 0
+        prev = starts[start]
+        for end in starts[start + 1 :]:
+            stamp += 1
+            clause = [0, FLAG_ORIGINAL, 0, 0]  # arena header
+            for q in lits[prev:end]:
                 if stamps[q ^ 1] == stamp:
-                    tautology = True
-                    break
+                    break  # tautology
                 if stamps[q] != stamp:
                     stamps[q] = stamp
-                    simplified.append(q)
-            if not tautology:
-                self._attach_simplified(simplified)
+                    clause.append(q)
+            else:
+                size = len(clause) - HEADER
+                if size < 2:
+                    if not size:
+                        self._ok = False
+                        break
+                    units.append(clause[HEADER])
+                else:
+                    if free and free.get(size):
+                        ref = self._alloc(clause[HEADER:], FLAG_ORIGINAL, 0)
+                    else:
+                        ref = len(arena)
+                        clause[0] = size
+                        arena.extend(clause)
+                    l0 = clause[HEADER]
+                    l1 = clause[HEADER + 1]
+                    if size == 2:
+                        bin_blockers[l0].append(l1)
+                        bin_refs[l0].append(ref)
+                        bin_blockers[l1].append(l0)
+                        bin_refs[l1].append(ref)
+                    else:
+                        watch_blockers[l0].append(l1)
+                        watch_refs[l0].append(ref)
+                        watch_blockers[l1].append(l0)
+                        watch_refs[l1].append(ref)
+                    attached += 1
+            prev = end
+        self._stamp = stamp
+        self.n_original += attached
 
     def _attach_simplified(self, lits: List[int]) -> None:
         """Attach a deduplicated, tautology-free packed clause."""

@@ -344,7 +344,7 @@ def _parse_request(
         want_countermodel=bool(payload.get("want_countermodel", True)),
         time_limit=timeout,
         sep_thold=int(payload.get("sep_thold", DEFAULT_SEP_THOLD)),
-        preprocess=bool(payload.get("preprocess", True)),
+        preprocess=bool(payload.get("preprocess", SolveRequest.preprocess)),
         options=dict(options),
     )
     return request, members, timeout

@@ -254,16 +254,17 @@ class TestCheckParseErrors:
         assert "error:" in capsys.readouterr().err
 
 
-class TestNoPreprocessFlag:
+class TestPreprocessFlag:
     def test_flag_parsed(self):
-        args = build_parser().parse_args(["check", "-", "--no-preprocess"])
-        assert args.no_preprocess is True
+        assert build_parser().parse_args(["check", "-"]).preprocess is False
+        args = build_parser().parse_args(["check", "-", "--preprocess"])
+        assert args.preprocess is True
 
     def test_verdict_unchanged_without_preprocessing(self):
         formula = "(=> (and (= x y) (= y z)) (= x z))"
-        code_on, out_on = run_cli(["check", "-"], stdin_text=formula)
-        code_off, out_off = run_cli(
-            ["check", "-", "--no-preprocess"], stdin_text=formula
+        code_off, out_off = run_cli(["check", "-"], stdin_text=formula)
+        code_on, out_on = run_cli(
+            ["check", "-", "--preprocess"], stdin_text=formula
         )
         assert code_on == code_off == 0
         assert "VALID" in out_on and "VALID" in out_off
@@ -272,7 +273,8 @@ class TestNoPreprocessFlag:
         # INVALID + --countermodel exercises the decode path through the
         # preprocessor's model-reconstruction stack.
         code, out = run_cli(
-            ["check", "-", "--countermodel"], stdin_text="(= x y)"
+            ["check", "-", "--countermodel", "--preprocess"],
+            stdin_text="(= x y)",
         )
         assert code == 1
         assert "countermodel:" in out

@@ -60,18 +60,20 @@ class TestCheckViaRegistry:
         assert code == 0
         assert "stages (hybrid):" in out
         assert "func-elim" in out
-        # Preprocessing may close the instance outright, in which case
-        # the sat stage never runs; one of the two must be reported.
-        assert "preprocess" in out or "sat" in out
 
     def test_stats_without_preprocessing_reaches_sat(self):
-        code, out = run_cli(
-            ["check", "-", "--stats", "--no-preprocess"],
-            stdin_text=VALID_F,
-        )
+        code, out = run_cli(["check", "-", "--stats"], stdin_text=VALID_F)
         assert code == 0
         assert "sat" in out
         assert "preprocess" not in out
+
+    def test_stats_with_preprocess_flag(self):
+        code, out = run_cli(
+            ["check", "-", "--stats", "--preprocess"],
+            stdin_text=VALID_F,
+        )
+        assert code == 0
+        assert "preprocess" in out
 
     def test_stats_with_portfolio(self):
         code, out = run_cli(

@@ -59,11 +59,8 @@ class TestEngine:
 
     def test_sat_stage_reports_cube_counters(self):
         outcome = solve_cube(FORMULAS[0][0], cube_procs=1)
-        sat_stages = [
-            s for s in outcome.stats.stages if s.name == "sat"
-        ]
-        if sat_stages:  # preprocessing may solve the formula outright
-            assert "cubes" in sat_stages[0].counters
+        [sat_stage] = [s for s in outcome.stats.stages if s.name == "sat"]
+        assert "cubes" in sat_stage.counters
 
     def test_deterministic_across_runs(self):
         verdicts = set()

@@ -138,7 +138,7 @@ class TestEngineContract:
             sep_thold=123,
             trans_budget=77,
             sd_ranges="ascending",
-            preprocess=False,
+            preprocess=True,
             options={"limit": 7},
         )
         new_formula = parse_formula(INVALID_F)
@@ -170,25 +170,29 @@ EAGER_COUNTERS = {
         "trans_clauses",
     },
     "cnf": {"vars", "clauses", "sep_cnf_vars"},
-    "preprocess": {
-        "clauses_before",
-        "clauses_after",
-        "vars_before",
-        "vars_after",
-        "units",
-        "pure",
-        "subsumed",
-        "strengthened",
-        "eliminated",
-    },
     "sat": {"decisions", "propagations", "conflicts", "learned"},
     "decode": {"model_vars"},
 }
 
+#: The opt-in stage ``SolveRequest(preprocess=True)`` adds after ``cnf``.
+PREPROCESS_COUNTERS = {
+    "clauses_before",
+    "clauses_after",
+    "vars_before",
+    "vars_after",
+    "units",
+    "pure",
+    "subsumed",
+    "strengthened",
+    "eliminated",
+}
+
+EAGER_ENGINES = ("hybrid", "static", "eij", "sd")
+
 #: Stage names, in order, and counter keys per engine: the telemetry
 #: contract the benchmark harness and ``repro check --stats`` read.
 STAGE_COUNTERS = {
-    **{name: EAGER_COUNTERS for name in ("hybrid", "static", "eij", "sd")},
+    **{name: EAGER_COUNTERS for name in EAGER_ENGINES},
     "lazy": {
         "encode": {"dag_suf", "dag_sep", "vars", "clauses"},
         "refine": {"iterations", "theory_checks", "conflict_clauses"},
@@ -213,13 +217,10 @@ WRAPPER_STAGES = {
 INVALID_UF_F = "(=> (< x y) (= (f x) (f y)))"
 
 
-def expected_stage_names(engine, outcome, names):
+def expected_stage_names(engine, outcome):
     expected = list(STAGE_COUNTERS[engine])
-    if engine in ("hybrid", "static", "eij", "sd"):
-        if outcome.status is not Status.INVALID:
-            expected.remove("decode")
-            if "sat" not in names:  # preprocessing closed the instance
-                expected.remove("sat")
+    if engine in EAGER_ENGINES and outcome.status is not Status.INVALID:
+        expected.remove("decode")
     return expected
 
 
@@ -239,7 +240,7 @@ class TestStageTelemetry:
         if stages:
             member = outcome.winner or outcome.engine
             names = [record.name for record in stages]
-            assert names == expected_stage_names(member, outcome, names)
+            assert names == expected_stage_names(member, outcome)
             for record in stages:
                 expected = STAGE_COUNTERS[member][record.name]
                 assert set(record.counters) == expected, record.name
@@ -248,14 +249,34 @@ class TestStageTelemetry:
         if stats.counter("dag_suf"):
             assert stats.dag_size_suf == dag_size(formula)
 
+    @pytest.mark.parametrize("name", EAGER_ENGINES)
+    @pytest.mark.parametrize("text", [VALID_F, INVALID_UF_F])
+    def test_stage_contract_with_preprocess(self, name, text):
+        outcome = registry.get(name).solve(
+            SolveRequest(formula=parse_formula(text), preprocess=True)
+        )
+        assert outcome.decided
+        names = [record.name for record in outcome.stages]
+        expected = ["func-elim", "encode", "cnf", "preprocess", "sat"]
+        if "sat" not in names:  # preprocessing closed the instance
+            expected.remove("sat")
+        if outcome.status is Status.INVALID:
+            expected.append("decode")
+        assert names == expected
+        counters = {**EAGER_COUNTERS, "preprocess": PREPROCESS_COUNTERS}
+        for record in outcome.stages:
+            assert set(record.counters) == counters[record.name], record.name
+        assert outcome.stats.preprocess is not None
+
     def test_eager_stage_names(self):
         outcome = registry.get("hybrid").decide(parse_formula(VALID_F))
-        names = [s.name for s in outcome.stages]
-        # Preprocessing may close the instance before the sat stage runs.
-        assert names in (
-            ["func-elim", "encode", "cnf", "preprocess", "sat"],
-            ["func-elim", "encode", "cnf", "preprocess"],
-        )
+        assert [s.name for s in outcome.stages] == [
+            "func-elim",
+            "encode",
+            "cnf",
+            "sat",
+        ]
+        assert outcome.stats.preprocess is None
 
     def test_eager_stage_names_without_preprocess(self):
         outcome = registry.get("hybrid").solve(
@@ -292,9 +313,8 @@ class TestStageTelemetry:
         by_name = {s.name: s for s in outcome.stages}
         assert by_name["func-elim"].counters["dag_suf"] > 0
         assert by_name["cnf"].counters["clauses"] == outcome.stats.cnf_clauses
-        assert "clauses_after" in by_name["preprocess"].counters
-        if "sat" in by_name:
-            assert "decisions" in by_name["sat"].counters
+        assert "preprocess" not in by_name
+        assert "decisions" in by_name["sat"].counters
 
     def test_lazy_stages(self):
         outcome = registry.get("lazy").decide(parse_formula(VALID_F))

@@ -272,7 +272,9 @@ class TestPipelineIntegration:
 
         x, y = b.const("x"), b.const("y")
         formula = b.implies(b.eq(x, y), b.eq(y, x))
-        outcome = registry.get("hybrid").solve(SolveRequest(formula=formula))
+        outcome = registry.get("hybrid").solve(
+            SolveRequest(formula=formula, preprocess=True)
+        )
         names = [record.name for record in outcome.stages]
         assert "preprocess" in names
         assert outcome.stats.preprocess is not None
@@ -280,6 +282,44 @@ class TestPipelineIntegration:
         assert record.counters["clauses_before"] >= record.counters[
             "clauses_after"
         ]
+
+    #: The largest suite benchmark per family that hybrid decides at
+    #: SEP_THOLD 700 with a 100,000-clause transitivity budget (the
+    #: gated benchmark's setting).  The invariant family is absent: its
+    #: classes exceed the budget there, so it never reaches the CNF.
+    SUITE_AT_T700 = (
+        "pipeline_s8_r2_7",
+        "loadstore_e15_p30_6",
+        "ooo_t8_4",
+        "cache_c7_6",
+        "driver_s6_4",
+        "transval_s4_i4_5",
+    )
+
+    @pytest.mark.parametrize("name", SUITE_AT_T700)
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_suite_cnfs_with_preprocessing(self, name, valid):
+        # Preprocessing is opt-in, so the benchmark no longer runs model
+        # reconstruction on real encoder CNFs; this keeps it covered.
+        from repro.benchgen.suite import benchmark_by_name
+        from repro.core.status import Status
+        from repro.engine import registry
+        from repro.engine.contract import SolveRequest
+        from repro.logic.semantics import evaluate
+
+        bench = benchmark_by_name(name, valid=valid)
+        outcome = registry.get("hybrid").solve(
+            SolveRequest(
+                formula=bench.formula,
+                sep_thold=700,
+                trans_budget=100_000,
+                preprocess=True,
+            )
+        )
+        assert outcome.valid is bench.expected_valid
+        assert "preprocess" in [r.name for r in outcome.stages]
+        if outcome.status is Status.INVALID:
+            assert not evaluate(bench.formula, outcome.counterexample)
 
     def test_no_preprocess_skips_stage(self):
         from repro.engine import registry

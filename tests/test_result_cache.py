@@ -80,7 +80,7 @@ class TestConfigFingerprint:
             "hybrid", self._request(sep_thold=3)
         )
         assert base != config_fingerprint(
-            "hybrid", self._request(preprocess=False)
+            "hybrid", self._request(preprocess=True)
         )
         assert base != config_fingerprint(
             "hybrid", self._request(sd_ranges="ascending")

@@ -18,6 +18,7 @@ int arena; the pre-arena implementation is kept frozen in
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sat.cnf import (
@@ -212,6 +213,84 @@ class TestArenaInvariants:
         # The solver keeps working on the compacted arena.
         expected = brute_force_sat(num_vars, clauses)
         assert solver.solve().is_sat == expected
+
+
+def attach_layout(solver):
+    """Everything bulk attach writes: arena, watches, units, counts."""
+    return (
+        list(solver.arena),
+        solver.watch_blockers,
+        solver.watch_refs,
+        solver.bin_blockers,
+        solver.bin_refs,
+        solver._units,
+        solver.n_original,
+        solver._ok,
+    )
+
+
+#: Tautologies, duplicate literals (one collapsing a binary to a unit),
+#: a unit, then an empty clause: attach must stop there, so the clause
+#: after it never reaches the arena.
+ATTACH_CLAUSES = [
+    [1, 2, 3],
+    [2, -1],
+    [3, 3, -4],
+    [1, -1, 2],
+    [4],
+    [-2, 3, 4, 4, 1],
+    [2, 2],
+    [1, 2, 3, 4],
+    [-3, 3],
+    [-1, -2, -3],
+    [],
+    [1, -4],
+]
+
+
+class TestBulkAttach:
+    @pytest.mark.parametrize("with_empty", [True, False])
+    def test_growth_matches_construction(self, with_empty):
+        clauses = [c for c in ATTACH_CLAUSES if c or with_empty]
+        full = make_cnf(4, clauses)
+        expected = attach_layout(CdclSolver(full))
+        assert expected[-1] is not with_empty
+        # Non-unit, non-tautological clauses before the empty one.
+        assert expected[-2] == (6 if with_empty else 7)
+        for k in range(len(clauses) + 1):
+            grown = CdclSolver(make_cnf(4, clauses[:k]))
+            grown.attach_from(full, k)
+            assert attach_layout(grown) == expected, k
+
+    def test_growth_reuses_free_slots_like_add_clause(self):
+        from repro.sat.solver import FLAG_LEARNED
+
+        base = [[1, 2, 3], [-1, 2, 4], [1, -3, 5], [2, 4, -5]] * 3
+        extra = [[-1, -2, 5], [3, 3, 4], [1, -1, 5], [-4], [2, -3, -5, 1]]
+
+        def reduced_solver():
+            solver = CdclSolver(make_cnf(5, base))
+            for lits in ([1, 4, 5], [-2, 3, -4]):
+                ref = solver._alloc(pack_clause(lits), FLAG_LEARNED, 5)
+                solver.learned_refs.append(ref)
+                solver._watch_clause(ref)
+            # Drops the worse of the two learned clauses; its slot goes
+            # to the free list (the arena is too full to compact).
+            solver._reduce_db()
+            assert solver._free.get(3)
+            return solver
+
+        full = make_cnf(5, base + extra)
+        grown = reduced_solver()
+        dead = list(grown._free[3])
+        grown.attach_from(full, len(base))
+        reference = reduced_solver()
+        for lits in extra:
+            reference.add_packed_clause(pack_clause(lits))
+        assert attach_layout(grown) == attach_layout(reference)
+        assert grown._free == reference._free
+        # The first new ternary clause took the dead slot.
+        assert dead[-1] in grown.watch_refs[pack_literal(-1)]
 
 
 def conflict_rich_clauses():
